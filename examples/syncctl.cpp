@@ -194,12 +194,11 @@ int main() {
                   static_cast<unsigned long long>(server.txn_groups_applied()),
                   server.config().apply_shards);
       std::printf("store      : %llu unique / %llu logical bytes "
-                  "(dedup %.2fx, block store %s)\n",
+                  "(dedup %.2fx)\n",
                   static_cast<unsigned long long>(server.store().unique_bytes()),
                   static_cast<unsigned long long>(
                       server.store().logical_bytes()),
-                  server.store().dedup_ratio(),
-                  server.config().use_block_store ? "on" : "off");
+                  server.store().dedup_ratio());
       const obs::Snapshot snap = obs.registry.snapshot();
       const std::uint64_t raw = snap.counter("net.wire.raw_bytes");
       const std::uint64_t wired = snap.counter("net.wire.wire_bytes");

@@ -20,22 +20,20 @@
 //   observability       obs.tracer, obs.metrics_registry, obs.logger
 //                       (leaves: never acquire anything below them)
 //
-// Three consumers keep declaration and reality in agreement:
+// Two consumers keep declaration and reality in agreement:
 //
-//   * tools/lock_order.json — the machine-readable manifest.  chk_test
-//     asserts lock_order_json() matches it, so editing one without the
-//     other fails the build's test run.
 //   * tools/lockdep_check.py — asserts every edge in a runtime
 //     lockdep_dot() export is covered by the closure of the declared
-//     edges (CI runs it over the DOT emitted by lock_order_test).
+//     edges.  It reads the manifest lock_order_json() exports, which
+//     lock_order_test writes into the build tree next to the DOT it
+//     emits; CI passes both paths.
 //   * lock_order_acyclic()/lock_order_allows() — in-process checks used
 //     by the tests directly.
 //
 // Adding a mutex: pick a class name, add it to DCFS_LOCK_CLASSES, add the
 // edges for every lock you intend to hold across its acquisition (and
-// that it may be held across), regenerate tools/lock_order.json (the
-// chk_test failure message prints the expected text), and keep the pair
-// list acyclic — lock_order_test fails otherwise.  Per-member
+// that it may be held across), and keep the pair list acyclic —
+// lock_order_test fails otherwise.  Per-member
 // DCFS_ACQUIRED_BEFORE/AFTER annotations (annotations.h) may additionally
 // pin local pairs inside one class for clang's static analysis.
 //
@@ -105,8 +103,8 @@ struct LockOrderEdge {
 [[nodiscard]] bool lock_order_allows(std::string_view before,
                                      std::string_view after);
 
-/// The manifest as JSON — byte content that tools/lock_order.json must
-/// match (chk_test compares them token-for-token).
+/// The manifest as JSON (classes, edges, ignore prefixes) — the input of
+/// tools/lockdep_check.py --manifest.
 [[nodiscard]] std::string lock_order_json();
 
 }  // namespace dcfs::chk

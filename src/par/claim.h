@@ -8,11 +8,16 @@
 // (tests/schedule_test.cc) can drive the *same* code the pool runs and
 // prove its invariants (every index claimed exactly once, accounting
 // completes even when the body throws) over enumerated interleavings
-// instead of TSan luck.  chk::yield_point() marks the two racy steps.
+// instead of TSan luck.  chk::yield_point() marks the racy steps.
+//
+// BatchHandoff is the batch's last step: workers detach and the caller
+// waits until it may destroy the batch.  It lives here for the same
+// reason — the explorer enumerates the detach/wait interleavings.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <utility>
@@ -143,6 +148,57 @@ class BatchAccounting {
   std::atomic<bool> failed_{false};
   std::exception_ptr error_ DCFS_GUARDED_BY(error_mu_);
   chk::Mutex error_mu_{"par.batch_error"};
+};
+
+/// The worker-detach / caller-wait handoff that ends one batch.  The batch
+/// lives on the caller's stack, so the caller may destroy it as soon as its
+/// wait predicate holds, and every worker access to the batch must come
+/// before that point.  Workers therefore detach *under* the handoff mutex,
+/// and the last one notifies before unlocking: once the caller, holding the
+/// same mutex, sees every worker detached, none of them touches the batch
+/// again.  Decrementing before taking the lock would let the caller return
+/// in between and destroy the mutex the last worker is about to lock
+/// (tests/schedule_test.cc enumerates both orderings).
+class BatchHandoff {
+ public:
+  /// Caller, before publishing the batch: `workers` will each detach once.
+  void attach(std::size_t workers) DCFS_EXCLUDES(mu_) {
+    const chk::LockGuard<chk::Mutex> lock(mu_);
+    attached_ = workers;
+  }
+
+  /// Worker, once it is done with the batch.  `notify_last` runs under the
+  /// lock when this worker is the last to detach.  The worker must not
+  /// touch the batch after this returns.
+  template <typename Notify>
+  void detach(Notify&& notify_last) DCFS_EXCLUDES(mu_) {
+    chk::yield_point();  // racy step: the caller may be checking right now
+    const chk::LockGuard<chk::Mutex> lock(mu_);
+    if (--attached_ == 0) notify_last();
+  }
+
+  /// Caller: blocks on `cv` until ready() holds and every worker detached;
+  /// the batch may be destroyed when this returns.  Whoever makes ready()
+  /// true must notify `cv` while holding mu().
+  template <typename Ready>
+  void wait(std::condition_variable& cv, Ready&& ready) DCFS_EXCLUDES(mu_) {
+    chk::UniqueLock lock(mu_);
+    while (!(ready() && attached_ == 0)) cv.wait(lock.raw());
+  }
+
+  /// Non-blocking wait(): true when the batch may be destroyed.
+  template <typename Ready>
+  [[nodiscard]] bool try_wait(Ready&& ready) DCFS_EXCLUDES(mu_) {
+    const chk::LockGuard<chk::Mutex> lock(mu_);
+    return ready() && attached_ == 0;
+  }
+
+  /// The mutex every wakeup of the caller pairs with.
+  [[nodiscard]] chk::Mutex& mu() DCFS_RETURN_CAPABILITY(mu_) { return mu_; }
+
+ private:
+  chk::Mutex mu_{"par.batch"};
+  std::size_t attached_ DCFS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dcfs::par

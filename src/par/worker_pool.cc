@@ -8,22 +8,25 @@
 namespace dcfs::par {
 
 /// One parallel_for invocation.  Lives on the calling thread's stack;
-/// parallel_for does not return until `refs` (workers still attached) hits
-/// zero and every item is accounted by `acct`.  The claim protocol and the
-/// completion/error accounting live in par/claim.h so the deterministic
-/// schedule explorer can exercise them (tests/schedule_test.cc).
+/// parallel_for does not return until every worker detached through
+/// `handoff` and every item is accounted by `acct`.  The claim protocol,
+/// the completion/error accounting and the detach handoff live in
+/// par/claim.h so the deterministic schedule explorer can exercise them
+/// (tests/schedule_test.cc).
 struct WorkerPool::Batch {
   const RangeFn* fn = nullptr;
   ClaimPlan plan;
   BatchAccounting acct;
-
-  std::atomic<std::size_t> refs{0};  ///< workers not yet detached
-  chk::Mutex done_mu{"par.batch"};   ///< pairs with done_cv only
-  std::condition_variable done_cv;
+  BatchHandoff handoff;
+  std::condition_variable done_cv;  ///< pairs with handoff.mu()
 };
 
 WorkerPool::WorkerPool(std::size_t parallelism, obs::Obs* obs) {
-  if (obs != nullptr) {
+  const std::size_t worker_count = parallelism > 1 ? parallelism - 1 : 0;
+  // A pool without workers runs every batch inline and never reaches its
+  // instruments, so it registers none — in particular it leaves alone a
+  // par.workers gauge that another pool on the same Obs has set.
+  if (obs != nullptr && worker_count > 0) {
     tracer_ = &obs->tracer;
     tasks_ = &obs->registry.counter("par.tasks");
     steals_ = &obs->registry.counter("par.steals");
@@ -31,9 +34,8 @@ WorkerPool::WorkerPool(std::size_t parallelism, obs::Obs* obs) {
     depth_ = &obs->registry.gauge("par.queue_depth");
     kernel_us_ = &obs->registry.histogram("par.kernel_us");
     obs->registry.gauge("par.workers")
-        .set(parallelism > 1 ? static_cast<std::int64_t>(parallelism - 1) : 0);
+        .set(static_cast<std::int64_t>(worker_count));
   }
-  const std::size_t worker_count = parallelism > 1 ? parallelism - 1 : 0;
   workers_.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -68,11 +70,8 @@ void WorkerPool::worker_loop(std::size_t worker_index) {
     if (auto job = self.queue.pop()) {
       Batch* batch = *job;
       run_batch(*batch, worker_index);
-      if (batch->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last worker out: wake the caller (it also waits on completion).
-        const chk::LockGuard<chk::Mutex> lock(batch->done_mu);
-        batch->done_cv.notify_all();
-      }
+      // Last worker out wakes the caller; `batch` is dead after this.
+      batch->handoff.detach([batch] { batch->done_cv.notify_all(); });
       continue;
     }
     chk::UniqueLock lock(mu_);
@@ -89,7 +88,7 @@ void WorkerPool::run_batch(Batch& batch, std::size_t lane) {
     obs::inc(tasks_);
     if (stolen) obs::inc(steals_);
     if (completed) {
-      const chk::LockGuard<chk::Mutex> lock(batch.done_mu);
+      const chk::LockGuard<chk::Mutex> lock(batch.handoff.mu());
       batch.done_cv.notify_all();
     }
   });
@@ -112,7 +111,7 @@ void WorkerPool::parallel_for(std::size_t n, std::size_t grain,
   batch.fn = &fn;
   batch.plan.reset(n, grain, parallelism());
   batch.acct.reset(n);
-  batch.refs.store(workers_.size(), std::memory_order_relaxed);
+  batch.handoff.attach(workers_.size());
 
   for (auto& worker : workers_) {
     worker->queue.push(&batch);
@@ -126,13 +125,7 @@ void WorkerPool::parallel_for(std::size_t n, std::size_t grain,
 
   run_batch(batch, batch.plan.lanes - 1);  // the caller is the last lane
 
-  {
-    chk::UniqueLock lock(batch.done_mu);
-    batch.done_cv.wait(lock.raw(), [&] {
-      return batch.acct.complete() &&
-             batch.refs.load(std::memory_order_acquire) == 0;
-    });
-  }
+  batch.handoff.wait(batch.done_cv, [&] { return batch.acct.complete(); });
   obs::set(depth_, 0);
   if (kernel_us_ != nullptr) {
     kernel_us_->observe(static_cast<std::uint64_t>(

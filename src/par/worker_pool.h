@@ -42,7 +42,8 @@ class WorkerPool {
 
   /// `parallelism` counts the calling thread: N means N-1 workers are
   /// spawned and the caller participates as the N-th lane.  `parallelism`
-  /// <= 1 spawns nothing and parallel_for degenerates to a plain loop.
+  /// <= 1 spawns nothing, registers no instruments on `obs`, and
+  /// parallel_for degenerates to a plain loop.
   explicit WorkerPool(std::size_t parallelism, obs::Obs* obs = nullptr);
   ~WorkerPool();
 

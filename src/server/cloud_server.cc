@@ -11,10 +11,10 @@ namespace dcfs {
 
 CloudServer::CloudServer(const CostProfile& profile, ServerConfig config,
                          obs::Obs* obs)
-    : meter_(profile), config_(config), store_(config.chunking) {
-  if (config_.apply_shards > 1) {
-    pool_ = std::make_unique<par::WorkerPool>(config_.apply_shards, obs);
-  }
+    : meter_(profile),
+      config_(config),
+      store_(config.chunking),
+      pool_(std::make_unique<par::WorkerPool>(config_.apply_shards, obs)) {
   if (config_.wire_compression) {
     wire_ = std::make_unique<wire::Codec>(config_.wire_config, obs);
   }
@@ -74,191 +74,187 @@ Result<Bytes> CloudServer::unwire(Bytes frame) {
   return inner;
 }
 
+Result<Bytes> CloudServer::decompress(const Bytes& payload) {
+  meter_.charge(CostKind::decompress, payload.size());
+  return lz::decompress(payload);
+}
+
 Result<std::vector<proto::SyncRecord>> CloudServer::unpack_bundle(
     const proto::SyncRecord& record) {
   if (!record.compressed) return proto::decode_bundle(record.payload);
-  meter_.charge(CostKind::decompress, record.payload.size());
-  Result<Bytes> plain = lz::decompress(record.payload);
+  Result<Bytes> plain = decompress(record.payload);
   if (!plain) return plain.status();
   return proto::decode_bundle(*plain);
 }
 
-std::size_t CloudServer::pump() {
-  const std::size_t processed =
-      pool_ != nullptr ? pump_parallel() : pump_serial();
-  update_store_gauges();
-  return processed;
-}
+/// One intake position of a batch.  An item owns exactly the outputs the
+/// server emits for it — ack, forwards, arrivals, rejections, conflict and
+/// latency accounting — so settling items in intake order reproduces the
+/// arrival-order output streams, whatever order the units were applied in.
+struct CloudServer::PumpItem {
+  enum class Kind { emit, single, group };
+  Kind kind = Kind::emit;
+  std::uint32_t client = 0;
+  proto::OpKind op = proto::OpKind::write;
+  /// False only for frames that never reached intake (undecodable frames,
+  /// stream violations): acked without an apply span or latency sample.
+  bool applied = false;
+  proto::SyncRecord record;                      ///< Kind::single
+  std::vector<proto::SyncRecord> group_records;  ///< Kind::group
+  /// Carries the trace context of the record it answers (for a group: the
+  /// closing txn_last record).
+  proto::Ack ack;
+  std::uint64_t pre_units = 0;    ///< intake charges (decompress)
+  std::uint64_t apply_units = 0;  ///< shard-meter charges of the apply
+  std::vector<proto::SyncRecord> forwards;
+  std::vector<std::string> arrivals;
+  std::vector<Rejection> rejections;
+  std::uint64_t conflicts = 0;
+};
 
-std::size_t CloudServer::pump_serial() {
+std::size_t CloudServer::pump() {
+  std::vector<PumpItem> items;
   std::size_t processed = 0;
+  const auto flush = [&] {
+    apply_batch(items);
+    for (PumpItem& item : items) send_ack(item.client, settle(item));
+    items.clear();
+  };
+  const auto reject = [&](std::uint32_t client_id, proto::Ack ack) {
+    PumpItem& item = items.emplace_back();
+    item.client = client_id;
+    item.ack = ack;
+  };
+  const auto corrupt = [&](std::uint32_t client_id,
+                           const proto::SyncRecord* record) {
+    proto::Ack ack;
+    if (record != nullptr) {
+      ack.sequence = record->sequence;
+      ack.trace_id = record->trace_id;
+    }
+    ack.result = Errc::corruption;
+    reject(client_id, ack);
+  };
+
   for (auto& [client_id, transport] : clients_) {
     while (auto frame = transport->server_poll()) {
       meter_.charge(CostKind::net_frame, frame->size());
       meter_.charge(CostKind::encrypt, frame->size());  // TLS decrypt
       Result<Bytes> inner = unwire(std::move(*frame));
       if (!inner) {
-        proto::Ack ack;
-        ack.result = Errc::corruption;
-        send_ack(client_id, ack);
+        corrupt(client_id, nullptr);
         continue;
       }
       Result<proto::SyncRecord> record = proto::decode_record(*inner);
       if (wire_ != nullptr) wire_->recycle(std::move(*inner));
       if (!record) {
-        proto::Ack ack;
-        ack.result = Errc::corruption;
-        send_ack(client_id, ack);
+        corrupt(client_id, nullptr);
         continue;
       }
       if (record->kind == proto::OpKind::recon_query) {
-        // Pure read against the applied state; answered with a recon
-        // frame, never an ack, and not counted as an applied record.
-        answer_recon(client_id, *record);
+        // A pure read answered with a recon frame, never an ack.  It must
+        // observe every earlier arrival applied, so it cuts the batch.
         ++processed;
+        flush();
+        answer_recon(client_id, *record);
         continue;
       }
       if (record->kind == proto::OpKind::stream_open ||
           record->kind == proto::OpKind::stream_chunk ||
           record->kind == proto::OpKind::stream_commit) {
-        // Staged outside the apply path; only a commit's synthesized
-        // full_file record enters apply_record (exactly one applied record
-        // per streamed file, like the non-streamed upload).
+        // Staging touches only streams_, never applied state, so it needs
+        // no batch cut.  Only a commit's synthesized full_file record is
+        // applied (one applied record per streamed file, like the
+        // non-streamed upload), at its arrival position.
         ++processed;
         StreamOutcome outcome = handle_stream(client_id, std::move(*record));
-        if (outcome.error) send_ack(client_id, *outcome.error);
+        if (outcome.error) reject(client_id, *outcome.error);
         if (outcome.record) {
-          const proto::Ack ack = apply_record(client_id, *outcome.record);
-          send_ack(client_id, ack);
           ++processed;
+          intake(client_id, std::move(*outcome.record), items);
         }
         continue;
       }
       if (record->kind == proto::OpKind::record_bundle) {
         Result<std::vector<proto::SyncRecord>> members = unpack_bundle(*record);
         if (!members) {
-          proto::Ack ack;
-          ack.sequence = record->sequence;
-          ack.trace_id = record->trace_id;
-          ack.result = Errc::corruption;
-          send_ack(client_id, ack);
+          corrupt(client_id, &*record);
           continue;
         }
         for (proto::SyncRecord& member : *members) {
-          const proto::Ack ack = apply_record(client_id, member);
-          send_ack(client_id, ack);
           ++processed;
+          intake(client_id, std::move(member), items);
         }
         continue;
       }
-      const proto::Ack ack = apply_record(client_id, *record);
-      send_ack(client_id, ack);
       ++processed;
+      intake(client_id, std::move(*record), items);
     }
   }
+  flush();
+  update_store_gauges();
   return processed;
 }
 
-std::size_t CloudServer::pump_parallel() {
-  // One item per serial position: every item owns exactly the outputs the
-  // serial pump would have produced at that position (ack, forwards,
-  // arrivals, rejections, conflict and latency accounting), so emitting
-  // them in item order reproduces the serial output streams exactly.
-  struct PumpItem {
-    enum class Kind { emit, single, group };
-    Kind kind = Kind::emit;
-    std::uint32_t client = 0;
-    proto::OpKind op = proto::OpKind::write;
-    /// False only for undecodable frames (the serial path acks those
-    /// without entering apply_record — no span, no latency sample).
-    bool applied = false;
-    proto::SyncRecord record;                      ///< Kind::single
-    std::vector<proto::SyncRecord> group_records;  ///< Kind::group
-    /// Trace context of the record that produced this item's ack (for a
-    /// group: the closing txn_last record).
-    std::uint64_t trace_id = 0;
-    proto::Ack ack;
-    std::uint64_t pre_units = 0;    ///< intake charges (decompress)
-    std::uint64_t apply_units = 0;  ///< shard-meter charges of the apply
-    std::vector<proto::SyncRecord> forwards;
-    std::vector<std::string> arrivals;
-    std::vector<Rejection> rejections;
-    std::uint64_t conflicts = 0;
-  };
-
-  // ---- Phase A: drain + decode + triage, serially, in serial-pump order.
+proto::Ack CloudServer::apply_record(std::uint32_t from_client,
+                                     const proto::SyncRecord& record) {
   std::vector<PumpItem> items;
-  std::size_t processed = 0;
-  auto intake = [&](std::uint32_t client_id, proto::SyncRecord record) {
-    ++processed;
-    ++records_applied_;
-    obs::inc(applied_counter_);
-    PumpItem item;
-    item.client = client_id;
-    item.op = record.kind;
-    item.applied = true;
-    item.trace_id = record.trace_id;
-    const std::uint64_t units_before = meter_.units();
-    if (record.kind == proto::OpKind::record_bundle) {
-      // Nested bundle smuggled through intake: protocol violation.
-      item.ack.sequence = record.sequence;
-      item.ack.trace_id = record.trace_id;
-      item.ack.result = Errc::corruption;
-      items.push_back(std::move(item));
-      return;
-    }
-    if (record.compressed) {
-      meter_.charge(CostKind::decompress, record.payload.size());
-      Result<Bytes> plain = lz::decompress(record.payload);
-      if (!plain) {
-        item.pre_units = meter_.units() - units_before;
-        item.ack.sequence = record.sequence;
-        item.ack.trace_id = record.trace_id;
-        item.ack.result = Errc::corruption;
-        items.push_back(std::move(item));
-        return;
-      }
-      record.payload = std::move(*plain);
-      record.compressed = false;
-    }
-    if (record.txn_group != 0) {
-      const GroupKey key{client_id, record.txn_group};
-      PendingGroup& group = groups_[key];
-      group.records.push_back(record);
-      if (!record.txn_last) {
-        obs::inc(txn_buffered_);
-        item.pre_units = meter_.units() - units_before;
-        item.ack.sequence = record.sequence;
-        item.ack.trace_id = record.trace_id;
-        item.ack.result = Errc::ok;  // buffered; final verdict with the group
-        items.push_back(std::move(item));
-        return;
-      }
-      PendingGroup complete = std::move(group);
-      groups_.erase(key);
-      ++txn_groups_applied_;
-      obs::inc(txn_groups_counter_);
-      item.kind = PumpItem::Kind::group;
-      item.group_records = std::move(complete.records);
-      item.pre_units = meter_.units() - units_before;
-      items.push_back(std::move(item));
-      return;
-    }
-    item.kind = PumpItem::Kind::single;
-    item.pre_units = meter_.units() - units_before;
-    item.record = std::move(record);
-    items.push_back(std::move(item));
-  };
+  intake(from_client, record, items);
+  apply_batch(items);
+  return settle(items.front());
+}
 
-  // ---- Phases B-E, bundled so the drain loop can run them per
-  // sub-batch: a recon query must observe every earlier arrival applied
-  // (exactly like the serial pump), so it cuts the batch — everything
-  // collected so far is partitioned/applied/emitted first, then the query
-  // is answered serially against the merged state.
-  auto run_batch = [&]() {
-  if (items.empty()) return;
-  // ---- Phase B: partition into independent units by touched-path sets.
-  // The closure of paths one record can read or write is {path, path2,
+void CloudServer::intake(std::uint32_t client_id, proto::SyncRecord record,
+                         std::vector<PumpItem>& items) {
+  ++records_applied_;
+  obs::inc(applied_counter_);
+  PumpItem& item = items.emplace_back();
+  item.client = client_id;
+  item.op = record.kind;
+  item.applied = true;
+  item.ack.sequence = record.sequence;
+  item.ack.trace_id = record.trace_id;
+  const std::uint64_t units_before = meter_.units();
+  if (record.kind == proto::OpKind::record_bundle) {
+    // Bundles are unpacked by pump(); one reaching intake directly (or
+    // nested in another bundle) is a protocol violation.
+    item.ack.result = Errc::corruption;
+    return;
+  }
+  if (record.compressed) {
+    Result<Bytes> plain = decompress(record.payload);
+    item.pre_units = meter_.units() - units_before;
+    if (!plain) {
+      item.ack.result = Errc::corruption;
+      return;
+    }
+    record.payload = std::move(*plain);
+    record.compressed = false;
+  }
+  if (record.txn_group == 0) {
+    item.kind = PumpItem::Kind::single;
+    item.record = std::move(record);
+    return;
+  }
+  const GroupKey key{client_id, record.txn_group};
+  const bool last = record.txn_last;
+  std::vector<proto::SyncRecord>& group = groups_[key];
+  group.push_back(std::move(record));
+  if (!last) {
+    obs::inc(txn_buffered_);
+    item.ack.result = Errc::ok;  // buffered; final verdict with the group
+    return;
+  }
+  ++txn_groups_applied_;
+  obs::inc(txn_groups_counter_);
+  item.kind = PumpItem::Kind::group;
+  item.group_records = std::move(group);
+  groups_.erase(key);
+}
+
+void CloudServer::apply_batch(std::vector<PumpItem>& items) {
+  // ---- Partition into independent units by touched-path sets.  The
+  // closure of paths one record can read or write is {path, path2,
   // conflict_name(path, from_client)}; a transactional group is the union
   // over its records (it applies atomically, so it is one unit).
   std::vector<int> dsu;
@@ -323,13 +319,14 @@ std::size_t CloudServer::pump_parallel() {
     if (inserted) units.emplace_back();
     units[it->second].item_indices.push_back(i);
   }
+  if (units.empty()) return;
   for (const auto& [path, id] : path_ids) {
     const auto it = root_to_unit.find(find(id));
     if (it != root_to_unit.end()) units[it->second].paths.push_back(path);
   }
 
-  // ---- Phase C: extract each unit's shard of the server state.  Units
-  // touch disjoint path sets, so the extraction fully isolates them.
+  // ---- Extract each unit's shard of the server state.  Units touch
+  // disjoint path sets, so the extraction fully isolates them.
   struct Shard {
     EntryMap files;
     EntryMap tombstones;
@@ -350,258 +347,86 @@ std::size_t CloudServer::pump_parallel() {
     }
   }
 
-  // ---- Phase D: apply the units concurrently.  Items within a unit run
-  // sequentially in arrival order; the BlockStore is internally locked and
-  // its refcount operations commute, so history puts from different units
-  // interleave safely.
-  if (!units.empty()) {
-    pool_->parallel_for(units.size(), 1, [&](std::size_t begin,
-                                             std::size_t end) {
-      for (std::size_t ui = begin; ui < end; ++ui) {
-        Shard& shard = shards[ui];
-        for (const std::size_t idx : units[ui].item_indices) {
-          PumpItem& item = items[idx];
-          ApplyCtx ctx{shard.files, shard.tombstones, shard.dirs, shard.meter,
-                       tracer_};
-          const std::uint64_t units_before = shard.meter.units();
-          if (item.kind == PumpItem::Kind::single) {
-            item.ack = apply_one(item.client, item.record, shard.files,
-                                 nullptr, nullptr, ctx);
-            if (item.ack.result == Errc::ok) {
-              item.forwards.push_back(item.record);
-            }
-          } else {
-            PendingGroup group;
-            group.records = std::move(item.group_records);
-            const std::vector<proto::Ack> acks =
-                apply_group(item.client, std::move(group), ctx, item.forwards);
-            item.ack = acks.empty() ? proto::Ack{} : acks.back();
+  // ---- Apply the units on the pool (inline on one lane).  Items within a
+  // unit run sequentially in arrival order; the BlockStore is internally
+  // locked and its refcount operations commute, so history puts from
+  // different units interleave safely.
+  pool_->parallel_for(units.size(), 1, [&](std::size_t begin,
+                                           std::size_t end) {
+    for (std::size_t ui = begin; ui < end; ++ui) {
+      Shard& shard = shards[ui];
+      for (const std::size_t idx : units[ui].item_indices) {
+        PumpItem& item = items[idx];
+        ApplyCtx ctx{shard.files, shard.tombstones, shard.dirs, shard.meter};
+        const std::uint64_t units_before = shard.meter.units();
+        if (item.kind == PumpItem::Kind::single) {
+          item.ack = apply_one(item.client, item.record, shard.files,
+                               nullptr, nullptr, ctx);
+          if (item.ack.result == Errc::ok) {
+            item.forwards.push_back(item.record);
           }
-          item.apply_units = shard.meter.units() - units_before;
-          item.conflicts = ctx.conflicts;
-          item.rejections = std::move(ctx.rejections);
-          item.arrivals = std::move(ctx.arrivals);
+        } else {
+          const std::vector<proto::Ack> acks = apply_group(
+              item.client, item.group_records, ctx, item.forwards);
+          item.ack = acks.empty() ? proto::Ack{} : acks.back();
         }
+        item.apply_units = shard.meter.units() - units_before;
+        item.conflicts = ctx.conflicts;
+        item.rejections = std::move(ctx.rejections);
+        item.arrivals = std::move(ctx.arrivals);
       }
-    });
-  }
+    }
+  });
 
-  // ---- Phase E: merge shard state back and emit every item's outputs in
-  // arrival order — the exact streams the serial pump would have produced.
+  // ---- Commit: merge shard state back.  settle() emits each item's
+  // outputs afterwards, in arrival order.
   for (Shard& shard : shards) {
     meter_.merge(shard.meter);
     files_.merge(shard.files);
     tombstones_.merge(shard.tombstones);
     dirs_.merge(shard.dirs);
   }
-  for (PumpItem& item : items) {
-    if (!item.applied) {
-      send_ack(item.client, item.ack);
-      continue;
-    }
-    obs::Span span(tracer_, tn_.apply, kind_cat(item.op));
-    if (item.trace_id != 0 && tracer_ != nullptr) {
-      tracer_->flow_end(item.trace_id);
-    }
-    if (item.kind == PumpItem::Kind::group) {
-      obs::Span group_span(tracer_, tn_.apply_group);
-    }
-    conflicts_seen_ += item.conflicts;
-    if (item.conflicts > 0) obs::inc(conflict_counter_, item.conflicts);
-    for (Rejection& rejection : item.rejections) {
-      rejections_.push_back(std::move(rejection));
-    }
-    for (const std::string& path : item.arrivals) record_arrival(path);
-    const std::uint64_t forward_before = meter_.units();
-    for (const proto::SyncRecord& record : item.forwards) {
-      forward(item.client, record);
-    }
-    const std::uint64_t apply_us =
-        (item.pre_units + item.apply_units + meter_.units() - forward_before) *
-        10'000 / meter_.profile().units_per_tick;
-    if (apply_latency_us_ != nullptr) apply_latency_us_->observe(apply_us);
-    if (stages_ != nullptr) stages_->record(obs::Stage::apply, apply_us);
-    if (item.trace_id != 0 && tracer_ != nullptr) {
-      tracer_->flow_start(proto::ack_flow_id(item.trace_id));
-    }
-    send_ack(item.client, item.ack);
-  }
-  items.clear();
-  };  // run_batch
-
-  for (auto& [client_id, transport] : clients_) {
-    while (auto frame = transport->server_poll()) {
-      meter_.charge(CostKind::net_frame, frame->size());
-      meter_.charge(CostKind::encrypt, frame->size());
-      Result<Bytes> inner = unwire(std::move(*frame));
-      if (!inner) {
-        PumpItem item;
-        item.client = client_id;
-        item.ack.result = Errc::corruption;
-        items.push_back(std::move(item));
-        continue;
-      }
-      Result<proto::SyncRecord> record = proto::decode_record(*inner);
-      if (wire_ != nullptr) wire_->recycle(std::move(*inner));
-      if (!record) {
-        PumpItem item;
-        item.client = client_id;
-        item.ack.result = Errc::corruption;
-        items.push_back(std::move(item));
-        continue;
-      }
-      if (record->kind == proto::OpKind::recon_query) {
-        run_batch();  // the query reads state earlier arrivals produce
-        answer_recon(client_id, *record);
-        ++processed;
-        continue;
-      }
-      if (record->kind == proto::OpKind::stream_open ||
-          record->kind == proto::OpKind::stream_chunk ||
-          record->kind == proto::OpKind::stream_commit) {
-        // Staging touches only streams_, never applied state — no batch
-        // barrier needed; a commit's synthesized record joins the batch at
-        // its arrival position, and an error ack rides an emit item so ack
-        // ordering matches the serial pump.
-        ++processed;
-        StreamOutcome outcome = handle_stream(client_id, std::move(*record));
-        if (outcome.error) {
-          PumpItem item;
-          item.client = client_id;
-          item.ack = *outcome.error;
-          items.push_back(std::move(item));
-        }
-        if (outcome.record) intake(client_id, std::move(*outcome.record));
-        continue;
-      }
-      if (record->kind == proto::OpKind::record_bundle) {
-        Result<std::vector<proto::SyncRecord>> members = unpack_bundle(*record);
-        if (!members) {
-          PumpItem item;
-          item.client = client_id;
-          item.ack.sequence = record->sequence;
-          item.ack.trace_id = record->trace_id;
-          item.ack.result = Errc::corruption;
-          items.push_back(std::move(item));
-          continue;
-        }
-        for (proto::SyncRecord& member : *members) {
-          intake(client_id, std::move(member));
-        }
-        continue;
-      }
-      intake(client_id, std::move(*record));
-    }
-  }
-  run_batch();
-  return processed;
 }
 
-proto::Ack CloudServer::apply_record(std::uint32_t from_client,
-                                     const proto::SyncRecord& raw_record) {
-  obs::Span span(tracer_, tn_.apply, kind_cat(raw_record.kind));
-  if (raw_record.trace_id != 0 && tracer_ != nullptr) {
-    tracer_->flow_end(raw_record.trace_id);
+proto::Ack CloudServer::settle(PumpItem& item) {
+  if (!item.applied) return item.ack;
+  obs::Span span(tracer_, tn_.apply, kind_cat(item.op));
+  const std::uint64_t trace_id = item.ack.trace_id;
+  if (trace_id != 0 && tracer_ != nullptr) tracer_->flow_end(trace_id);
+  if (item.kind == PumpItem::Kind::group) {
+    obs::Span group_span(tracer_, tn_.apply_group);
   }
-  obs::inc(applied_counter_);
-  const std::uint64_t units_before = meter_.units();
-  const std::uint64_t conflicts_before = conflicts_seen_;
-  proto::Ack ack = apply_record_impl(from_client, raw_record);
-  // Modeled apply latency: the cost-model units this record consumed,
-  // converted at 10 ms-per-tick — deterministic in virtual time.
-  const std::uint64_t apply_us = (meter_.units() - units_before) * 10'000 /
-                                 meter_.profile().units_per_tick;
-  if (apply_latency_us_ != nullptr) apply_latency_us_->observe(apply_us);
-  if (stages_ != nullptr) stages_->record(obs::Stage::apply, apply_us);
-  if (conflicts_seen_ > conflicts_before) {
-    obs::inc(conflict_counter_, conflicts_seen_ - conflicts_before);
-  }
-  if (raw_record.trace_id != 0 && tracer_ != nullptr) {
-    tracer_->flow_start(proto::ack_flow_id(raw_record.trace_id));
-  }
-  return ack;
-}
-
-proto::Ack CloudServer::apply_record_impl(std::uint32_t from_client,
-                                          const proto::SyncRecord& raw_record) {
-  ++records_applied_;
-  proto::SyncRecord record = raw_record;
-  if (record.kind == proto::OpKind::record_bundle) {
-    // Bundles are unpacked by pump(); one reaching the apply path directly
-    // (or nested in another bundle) is a protocol violation.
-    proto::Ack ack;
-    ack.sequence = record.sequence;
-    ack.trace_id = record.trace_id;
-    ack.result = Errc::corruption;
-    return ack;
-  }
-  if (record.compressed) {
-    meter_.charge(CostKind::decompress, record.payload.size());
-    Result<Bytes> plain = lz::decompress(record.payload);
-    if (!plain) {
-      proto::Ack ack;
-      ack.sequence = record.sequence;
-      ack.trace_id = record.trace_id;
-      ack.result = Errc::corruption;
-      return ack;
-    }
-    record.payload = std::move(*plain);
-    record.compressed = false;
-  }
-
-  if (record.txn_group != 0) {
-    const GroupKey key{from_client, record.txn_group};
-    PendingGroup& group = groups_[key];
-    group.records.push_back(record);
-    if (!record.txn_last) {
-      obs::inc(txn_buffered_);
-      proto::Ack ack;
-      ack.sequence = record.sequence;
-      ack.trace_id = record.trace_id;
-      ack.result = Errc::ok;  // buffered; final verdict with the group
-      return ack;
-    }
-    PendingGroup complete = std::move(group);
-    groups_.erase(key);
-    ++txn_groups_applied_;
-    obs::inc(txn_groups_counter_);
-    obs::Span span(tracer_, tn_.apply_group);
-    ApplyCtx ctx{files_, tombstones_, dirs_, meter_, tracer_};
-    std::vector<proto::SyncRecord> forwards;
-    std::vector<proto::Ack> acks =
-        apply_group(from_client, std::move(complete), ctx, forwards);
-    commit_ctx(ctx);
-    for (const proto::SyncRecord& fwd : forwards) forward(from_client, fwd);
-    return acks.empty() ? proto::Ack{} : acks.back();
-  }
-
-  ApplyCtx ctx{files_, tombstones_, dirs_, meter_, tracer_};
-  proto::Ack ack = apply_one(from_client, record, files_, nullptr, nullptr,
-                             ctx);
-  commit_ctx(ctx);
-  if (ack.result == Errc::ok) forward(from_client, record);
-  return ack;
-}
-
-void CloudServer::commit_ctx(ApplyCtx& ctx) {
-  conflicts_seen_ += ctx.conflicts;
-  for (Rejection& rejection : ctx.rejections) {
+  conflicts_seen_ += item.conflicts;
+  if (item.conflicts > 0) obs::inc(conflict_counter_, item.conflicts);
+  for (Rejection& rejection : item.rejections) {
     rejections_.push_back(std::move(rejection));
   }
-  for (const std::string& path : ctx.arrivals) record_arrival(path);
-  ctx.conflicts = 0;
-  ctx.rejections.clear();
-  ctx.arrivals.clear();
+  for (const std::string& path : item.arrivals) record_arrival(path);
+  const std::uint64_t forward_before = meter_.units();
+  for (const proto::SyncRecord& record : item.forwards) {
+    forward(item.client, record);
+  }
+  // Modeled apply latency: the cost-model units this record consumed,
+  // converted at 10 ms-per-tick — deterministic in virtual time.
+  const std::uint64_t apply_us =
+      (item.pre_units + item.apply_units + meter_.units() - forward_before) *
+      10'000 / meter_.profile().units_per_tick;
+  if (apply_latency_us_ != nullptr) apply_latency_us_->observe(apply_us);
+  if (stages_ != nullptr) stages_->record(obs::Stage::apply, apply_us);
+  if (trace_id != 0 && tracer_ != nullptr) {
+    tracer_->flow_start(proto::ack_flow_id(trace_id));
+  }
+  return item.ack;
 }
 
 std::vector<proto::Ack> CloudServer::apply_group(
-    std::uint32_t from_client, PendingGroup group, ApplyCtx& ctx,
-    std::vector<proto::SyncRecord>& forwards) {
+    std::uint32_t from_client, const std::vector<proto::SyncRecord>& group,
+    ApplyCtx& ctx, std::vector<proto::SyncRecord>& forwards) {
   // Transactional apply (§III-E): stage every record against a scratch
   // copy of the touched entries; commit only if all succeed.  On any
   // conflict the whole group becomes conflicted.
   EntryMap snapshot;
-  for (const proto::SyncRecord& record : group.records) {
+  for (const proto::SyncRecord& record : group) {
     for (const std::string* path : {&record.path, &record.path2}) {
       if (path->empty() || snapshot.contains(*path)) continue;
       const auto it = ctx.files.find(*path);
@@ -613,7 +438,7 @@ std::vector<proto::Ack> CloudServer::apply_group(
   std::vector<proto::Ack> acks;
   bool conflicted = false;
   VersionSet group_versions;
-  for (const proto::SyncRecord& record : group.records) {
+  for (const proto::SyncRecord& record : group) {
     proto::Ack ack = apply_one(from_client, record, staged, &snapshot,
                                &group_versions, ctx);
     if (ack.result == Errc::conflict) conflicted = true;
@@ -624,7 +449,7 @@ std::vector<proto::Ack> CloudServer::apply_group(
 
   if (!conflicted) {
     ctx.files = std::move(staged);
-    for (const proto::SyncRecord& record : group.records) {
+    for (const proto::SyncRecord& record : group) {
       if (ctx.files.contains(record.path)) {
         ctx.arrivals.push_back(record.path);
       }
@@ -663,21 +488,13 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
 
   switch (record.kind) {
     case proto::OpKind::record_bundle:
-      ack.result = Errc::corruption;  // bundles never reach the apply layer
-      break;
-
     case proto::OpKind::recon_query:
-      // Queries are intercepted in the pumps (answered, never applied); one
-      // reaching here bypassed framing — reject it.
-      ack.result = Errc::corruption;
-      break;
-
     case proto::OpKind::stream_open:
     case proto::OpKind::stream_chunk:
     case proto::OpKind::stream_commit:
-      // Stream records are staged in the pumps (handle_stream); only the
-      // commit-synthesized full_file enters the apply layer.  One reaching
-      // here bypassed framing — reject it.
+      // Framing kinds: pump() unpacks bundles, answers queries and stages
+      // streams (only a commit's synthesized full_file is applied).  One
+      // reaching the apply layer bypassed framing — reject it.
       ack.result = Errc::corruption;
       break;
 
@@ -1007,17 +824,16 @@ CloudServer::FileVersion CloudServer::make_version(
     const proto::VersionId& version, const Bytes& content) {
   FileVersion v;
   v.version = version;
-  if (config_.use_block_store && !content.empty()) {
-    v.blocks = store_.put_shared(content);
-  } else {
-    v.content = content;
-  }
+  if (!content.empty()) v.blocks = store_.put_shared(content);
   return v;
 }
 
 const Bytes* CloudServer::version_bytes(const FileVersion& v,
                                         Bytes& scratch) const {
-  if (!v.blocks) return &v.content;
+  if (!v.blocks) {
+    scratch.clear();
+    return &scratch;
+  }
   Result<Bytes> content = store_.get(*v.blocks);
   if (!content) return nullptr;  // lost chunk: treat the version as gone
   scratch = std::move(*content);
@@ -1051,8 +867,7 @@ void CloudServer::answer_recon(std::uint32_t client_id,
   ByteSpan payload{record.payload};
   Bytes plain;
   if (record.compressed) {
-    meter_.charge(CostKind::decompress, record.payload.size());
-    Result<Bytes> decompressed = lz::decompress(record.payload);
+    Result<Bytes> decompressed = decompress(record.payload);
     if (!decompressed) {
       response.result = Errc::corruption;
       send_recon(client_id, response);
@@ -1076,7 +891,9 @@ void CloudServer::answer_recon(std::uint32_t client_id,
   // later rounds pin the exact version round 0 answered with, so a
   // concurrent update (or unlink) between rounds cannot shear the
   // negotiation: the pinned version is still in the entry's history.
-  const Bytes* inline_content = nullptr;
+  // Current content is inline; history versions are block-backed (a null
+  // handle is an empty version).
+  const Bytes* current = nullptr;
   const BlockHandle* blocks = nullptr;
   const auto locate = [&](const EntryMap& map, bool deleted) {
     const auto it = map.find(record.path);
@@ -1084,7 +901,7 @@ void CloudServer::answer_recon(std::uint32_t client_id,
     const FileEntry& entry = it->second;
     if (record.base_version.is_null() ||
         entry.version == record.base_version) {
-      inline_content = &entry.content;
+      current = &entry.content;
       response.base = entry.version;
       response.base_deleted = deleted;
       response.base_size = entry.content.size();
@@ -1092,13 +909,8 @@ void CloudServer::answer_recon(std::uint32_t client_id,
     }
     for (const FileVersion& version : entry.history) {
       if (!(version.version == record.base_version)) continue;
-      if (version.blocks != nullptr) {
-        blocks = version.blocks.get();
-        response.base_size = version.blocks->size;
-      } else {
-        inline_content = &version.content;
-        response.base_size = version.content.size();
-      }
+      blocks = version.blocks.get();
+      response.base_size = blocks != nullptr ? blocks->size : 0;
       response.base = version.version;
       response.base_deleted = deleted;
       return true;
@@ -1122,9 +934,9 @@ void CloudServer::answer_recon(std::uint32_t client_id,
     if (blocks != nullptr) {
       return store_.visit_range(*blocks, offset, length, sink).is_ok();
     }
-    const std::uint64_t size = inline_content->size();
+    const std::uint64_t size = current != nullptr ? current->size() : 0;
     if (offset >= size || length == 0) return true;
-    sink(ByteSpan{inline_content->data() + offset,
+    sink(ByteSpan{current->data() + offset,
                   std::min<std::uint64_t>(length, size - offset)});
     return true;
   };
@@ -1400,8 +1212,8 @@ Result<Bytes> CloudServer::fetch_version(
   if (it->second.version == version) return it->second.content;
   for (const FileVersion& v : it->second.history) {
     if (v.version != version) continue;
-    if (v.blocks) return store_.get(*v.blocks);
-    return v.content;
+    if (!v.blocks) return Bytes{};
+    return store_.get(*v.blocks);
   }
   return Errc::not_found;
 }

@@ -7,24 +7,25 @@
 // needs to apply incremental data generated by clients" — so its CPU meter
 // mostly counts bytes received and bytes written.
 //
-// Two scaling mechanisms (both off the paper's critical claims, both
-// equivalence-preserving):
+// Every record reaches the apply layer through one pipeline.  pump()
+// drains the attached transports in order; intake decompresses each record
+// and buffers transactional groups until their closer arrives.  The batch
+// is then partitioned into independent work units by touched-path sets
+// (a completed group is one atomic unit), each unit's shard of the state is
+// extracted and applied on a dcfs::par::WorkerPool, the shards are
+// committed back, and acks and forwards are emitted in arrival order.
+// With ServerConfig::apply_shards = 1 the pool has no workers and the same
+// phases run inline on the caller.  Server state, ack sequences, CostMeter
+// totals and counters are byte-identical at every shard count
+// (tests/server_parallel_test.cc pins them to recorded digests;
+// docs/PERFORMANCE.md has the argument).  apply_record() is a one-record
+// batch through the same pipeline.
 //
-//  * Sharded parallel apply (ServerConfig::apply_shards > 1): pump()
-//    collects the batch of decoded records across all transports,
-//    partitions it into independent work units by touched-path sets
-//    (completed transactional groups count as atomic units), applies the
-//    units concurrently on a dcfs::par::WorkerPool against extracted
-//    per-unit shard state, then commits results and emits acks/forwards in
-//    the original arrival order.  Server state, ack sequences, CostMeter
-//    totals and counters are byte-identical to the serial path at every
-//    shard count (see docs/PERFORMANCE.md for the argument).
-//
-//  * Block-backed copy-on-write history (ServerConfig::use_block_store,
-//    default on): version history entries (§III-C) hold refcounted
-//    BlockStore handles instead of full content copies, so near-identical
-//    versions of a file dedup to their changed chunks.  History trimming
-//    and tombstone GC release chunks through shared_ptr deleters.
+// Version history (§III-C) is block-backed copy-on-write: history entries
+// hold refcounted BlockStore handles instead of full content copies, so
+// near-identical versions of a file dedup to their changed chunks.
+// History trimming and tombstone GC release chunks through shared_ptr
+// deleters.
 #pragma once
 
 #include <array>
@@ -54,12 +55,9 @@ namespace dcfs {
 struct ServerConfig {
   /// Versions kept per file for delta bases and conflict copies (§III-C).
   std::size_t history_depth = 16;
-  /// Concurrent apply lanes for pump(); 1 = the plain serial path.
+  /// Concurrent apply lanes for pump(); 1 runs the pipeline on the caller.
   std::size_t apply_shards = 1;
-  /// Store history versions as refcounted CDC chunks in the BlockStore
-  /// instead of inline copies.  Dedups near-identical versions; does not
-  /// change any observable behavior or meter totals.
-  bool use_block_store = true;
+  /// Chunking of the block-backed version history.
   rsyncx::CdcParams chunking = rsyncx::CdcParams::fine();
   /// Adaptive wire compression (dcfs::wire) on every frame this server
   /// sends or receives.  Must match the clients'
@@ -83,12 +81,14 @@ class CloudServer {
 
   /// Drains every attached transport: decodes records (unpacking
   /// record_bundle frames), applies them (or buffers transactional
-  /// groups), sends acks, forwards to peers.  With apply_shards > 1 the
-  /// batch is applied on the worker pool; all outputs are emitted in
-  /// arrival order either way.  Returns the number of records processed.
+  /// groups) on the worker pool, sends acks, forwards to peers.  All
+  /// outputs are emitted in arrival order.  Returns the number of records
+  /// processed.
   std::size_t pump();
 
-  /// Direct-call apply (single-threaded simulations without framing).
+  /// Direct-call apply (single-threaded simulations without framing): a
+  /// one-record batch through pump()'s pipeline.  Forwards like pump()
+  /// but returns the ack instead of sending it.
   proto::Ack apply_record(std::uint32_t from_client,
                           const proto::SyncRecord& record);
 
@@ -168,11 +168,9 @@ class CloudServer {
  private:
   struct FileVersion {
     proto::VersionId version;
-    /// Inline content; empty when the version is block-backed.
-    Bytes content;
-    /// Refcounted chunks in store_; copies of the version (group staging,
-    /// tombstone revival, rename splices) share one store reference and
-    /// release it when the last copy dies.
+    /// Refcounted chunks in store_, null for an empty version.  Copies of
+    /// the version (group staging, tombstone revival, rename splices)
+    /// share one store reference and release it when the last copy dies.
     std::shared_ptr<const BlockHandle> blocks;
   };
 
@@ -189,41 +187,47 @@ class CloudServer {
   /// keyspace, so ids from different clients can never alias.
   using GroupKey = std::pair<std::uint32_t, std::uint64_t>;
 
-  struct PendingGroup {
-    std::vector<proto::SyncRecord> records;
-  };
-
-  /// Mutable state one apply runs against plus its harvested side effects.
-  /// The serial path binds the member maps directly; a parallel work unit
-  /// binds its extracted shard state (the tracer is safe from pool workers
-  /// — each has its own registered track), and the side effects are
-  /// committed in arrival order.
+  /// Mutable state one apply runs against — a work unit's extracted shard
+  /// — plus its harvested side effects, committed in arrival order.
   struct ApplyCtx {
     EntryMap& files;
     EntryMap& tombstones;
     std::set<std::string, std::less<>>& dirs;
     CostMeter& meter;
-    obs::Tracer* tracer = nullptr;
     std::uint64_t conflicts = 0;
-    std::vector<Rejection> rejections;
-    std::vector<std::string> arrivals;
+    std::vector<Rejection> rejections = {};
+    std::vector<std::string> arrivals = {};
   };
 
-  std::size_t pump_serial();
-  std::size_t pump_parallel();
+  /// One intake position of a batch (defined in cloud_server.cc).
+  struct PumpItem;
 
   /// Strips the wire layer from an inbound frame (identity when wire
   /// compression is off), charging CostKind::decompress for lz frames.
   Result<Bytes> unwire(Bytes frame);
 
+  /// Decompresses an lz record payload, charging CostKind::decompress.
+  Result<Bytes> decompress(const Bytes& payload);
+
   /// Decompresses (charging the meter) and unpacks a record_bundle frame.
   Result<std::vector<proto::SyncRecord>> unpack_bundle(
       const proto::SyncRecord& record);
 
-  /// apply_record's body; the public entry point wraps it with a trace
-  /// span and latency/conflict accounting.
-  proto::Ack apply_record_impl(std::uint32_t from_client,
-                               const proto::SyncRecord& record);
+  /// Appends `record`'s item to the batch: counts it as applied,
+  /// decompresses it, and buffers a transactional group member until the
+  /// group's closer arrives (the closer's item carries the whole group).
+  void intake(std::uint32_t client_id, proto::SyncRecord record,
+              std::vector<PumpItem>& items);
+
+  /// Partitions the batch into units by touched paths, extracts each
+  /// unit's shard, applies the units on pool_ and merges the shards back.
+  /// Fills every item's ack and side effects; emits nothing.
+  void apply_batch(std::vector<PumpItem>& items);
+
+  /// Emits one item's side effects (arrivals, rejections, forwards,
+  /// conflict and latency accounting, trace edges) and returns its ack for
+  /// the caller to send.  Called in arrival order after apply_batch.
+  proto::Ack settle(PumpItem& item);
 
   /// Applies one record against `files`; `snapshot` (may be null) holds the
   /// pre-group state used to resolve transactional bases.
@@ -235,12 +239,9 @@ class CloudServer {
   /// Applies a completed transactional group atomically against ctx.files;
   /// records to forward on success are appended to `forwards` (the caller
   /// emits them, preserving its own ordering rules).
-  std::vector<proto::Ack> apply_group(std::uint32_t from_client,
-                                      PendingGroup group, ApplyCtx& ctx,
-                                      std::vector<proto::SyncRecord>& forwards);
-
-  /// Folds a serial-path ctx's side effects into the member state.
-  void commit_ctx(ApplyCtx& ctx);
+  std::vector<proto::Ack> apply_group(
+      std::uint32_t from_client, const std::vector<proto::SyncRecord>& group,
+      ApplyCtx& ctx, std::vector<proto::SyncRecord>& forwards);
 
   /// Finds content matching `version` for the file named `ref` — current
   /// entry, pre-group snapshot, version history, or tombstones.
@@ -253,12 +254,11 @@ class CloudServer {
                             const EntryMap& tombstones, bool& from_history,
                             Bytes& scratch) const;
 
-  /// A FileVersion snapshot of `content`: block-backed when the store is
-  /// enabled, an inline copy otherwise.
+  /// A block-backed FileVersion snapshot of `content`.
   FileVersion make_version(const proto::VersionId& version,
                            const Bytes& content);
-  /// The version's content — inline, or reassembled into `scratch`.
-  /// Null only if the store lost a chunk (a refcount bug).
+  /// The version's content, reassembled into `scratch`.  Null only if the
+  /// store lost a chunk (a refcount bug).
   const Bytes* version_bytes(const FileVersion& v, Bytes& scratch) const;
 
   /// Answers one reconciliation round (rsyncx/recon.h): resolves the base
@@ -294,8 +294,8 @@ class CloudServer {
     std::optional<proto::Ack> error;
   };
 
-  /// Stages one stream_open / stream_chunk / stream_commit record.  Both
-  /// pumps call this inline (like answer_recon) before the apply path;
+  /// Stages one stream_open / stream_chunk / stream_commit record.  pump()
+  /// calls this inline (like answer_recon) before intake;
   /// credits are granted to the client as chunks are consumed.
   StreamOutcome handle_stream(std::uint32_t client_id,
                               proto::SyncRecord record);
@@ -319,7 +319,8 @@ class CloudServer {
   EntryMap files_;
   EntryMap tombstones_;
   std::set<std::string, std::less<>> dirs_;
-  std::map<GroupKey, PendingGroup> groups_;
+  /// Transactional groups still waiting for their txn_last record.
+  std::map<GroupKey, std::vector<proto::SyncRecord>> groups_;
   std::map<std::uint32_t, Transport*> clients_;
   std::vector<std::string> arrival_order_;
   std::set<std::string> arrived_;
@@ -332,7 +333,7 @@ class CloudServer {
   std::uint64_t streams_opened_ = 0;
   std::uint64_t stream_chunks_ = 0;
   std::vector<Rejection> rejections_;
-  std::unique_ptr<par::WorkerPool> pool_;  ///< null when apply_shards <= 1
+  std::unique_ptr<par::WorkerPool> pool_;  ///< apply_shards lanes
   std::unique_ptr<wire::Codec> wire_;     ///< null unless wire_compression
 
   obs::Tracer* tracer_ = nullptr;

@@ -166,6 +166,18 @@ TEST(WorkerPoolTest, MetricsAreExported) {
   EXPECT_EQ(kernel_us->count, 2u);
 }
 
+TEST(WorkerPoolTest, OneLanePoolLeavesSharedInstrumentsAlone) {
+  // A client pool and a one-lane server pool on one Obs: the one-lane pool
+  // has no workers to report and must not reset the client's gauge.
+  obs::Obs obs;
+  WorkerPool client(4, &obs);
+  WorkerPool server(1, &obs);
+  server.parallel_for(10, 1, [](std::size_t, std::size_t) {});
+  const obs::Snapshot snap = obs.registry.snapshot();
+  EXPECT_EQ(snap.gauge("par.workers"), 3);
+  EXPECT_EQ(snap.counter("par.batches"), 0u);
+}
+
 TEST(WorkerPoolTest, ConcurrentSumMatchesSerial) {
   WorkerPool pool(8);
   std::vector<std::uint64_t> values(100'000);
@@ -181,6 +193,40 @@ TEST(WorkerPoolTest, ConcurrentSumMatchesSerial) {
                       sum.fetch_add(local, std::memory_order_relaxed);
                     });
   EXPECT_EQ(sum.load(), expected);
+}
+
+/// Overwrites the stack the previous parallel_for's Batch lived in, so a
+/// worker still touching that batch finds garbage instead of the
+/// look-alike batch the next call would build at the same address.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[4096];
+  for (std::size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+TEST(WorkerPoolTest, RepeatedSmallBatchesTearDownCleanly) {
+  // Every parallel_for ends with the caller destroying its stack batch as
+  // soon as the workers detached.  Thousands of small batches on a
+  // multi-lane pool keep hitting that teardown window; uneven item costs
+  // make the caller often reach its wait just as the last worker detaches.
+  // A worker touching a dead batch crashes, hangs or trips the sanitizers.
+  WorkerPool pool(4);
+  std::size_t total = 0;
+  for (std::size_t round = 0; round < 20'000; ++round) {
+    const std::size_t n = 2 + round % 7;
+    std::atomic<std::size_t> items{0};
+    pool.parallel_for(n, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (std::size_t spin = (round + i) % 4; spin > 0; --spin) {
+          std::this_thread::yield();
+        }
+      }
+      items.fetch_add(hi - lo, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(items.load(), n) << "round " << round;
+    scribble_stack();
+    total += n;
+  }
+  EXPECT_GT(total, 20'000u);
 }
 
 }  // namespace

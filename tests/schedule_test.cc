@@ -8,6 +8,10 @@
 //    claimed exactly once, steals attributed correctly, and
 //    BatchAccounting's completion/first-error invariants, all under
 //    chosen (not lucky) schedules.
+//  * par/claim.h BatchHandoff — the worker-detach / caller-wait handoff
+//    that ends a batch: no worker touches the batch after the caller may
+//    destroy it.  The pre-fix ordering is replayed next to it and must be
+//    caught.
 //
 // With -DDCFS_CHK=OFF yield_point() compiles away, each logical thread
 // runs atomically, and the interleaving-coverage assertions are
@@ -16,6 +20,7 @@
 #include "chk/sched.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <set>
@@ -25,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chk/lockdep.h"
 #include "core/lockfree_queue.h"
 #include "par/claim.h"
 
@@ -202,6 +208,99 @@ TEST(ScheduleTest, BatchAccountingInvariantsOverInterleavings) {
   if (!enabled()) GTEST_SKIP() << "yield points compiled out (DCFS_CHK=OFF)";
   const std::size_t runs = Explorer::enumerate(accounting_run, 400);
   EXPECT_GE(runs, 50u);
+}
+
+/// The handoff as WorkerPool's worker_loop ran it before the fix: the last
+/// worker decremented the attached count, then locked the batch mutex to
+/// notify.  The caller's predicate can see zero inside that gap, return,
+/// and destroy the stack Batch whose mutex the worker is about to lock.
+class PreFixHandoff {
+ public:
+  void attach(std::size_t workers) {
+    refs_.store(workers, std::memory_order_relaxed);
+  }
+
+  template <typename Notify>
+  void detach(Notify&& notify_last) {
+    yield_point();
+    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      yield_point();  // the gap: already detached, not yet notified
+      const LockGuard<Mutex> lock(mu_);
+      notify_last();
+    }
+  }
+
+  template <typename Ready>
+  bool try_wait(Ready&& ready) {
+    const LockGuard<Mutex> lock(mu_);
+    return ready() && refs_.load(std::memory_order_acquire) == 0;
+  }
+
+ private:
+  std::atomic<std::size_t> refs_{0};
+  Mutex mu_{"test.prefix_batch"};
+};
+
+/// One batch-teardown run: two workers detach while the caller polls its
+/// wait predicate and retires the batch the moment it holds (in
+/// WorkerPool, parallel_for returns and its stack Batch dies).  The last
+/// worker's notify is its final access to the batch; reaching it after
+/// the retirement is a use-after-release, counted in `violations`.
+template <typename Handoff>
+Scheduler::Trace teardown_run(const Scheduler::ChoiceFn& choose,
+                              std::size_t& violations) {
+  constexpr std::size_t kWorkers = 2;
+  constexpr std::size_t kPolls = 3;  // bounded, so every schedule ends
+  Handoff handoff;
+  handoff.attach(kWorkers);
+  bool retired = false;
+  bool notified = false;
+
+  Scheduler scheduler;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    scheduler.add_thread([&] {
+      handoff.detach([&] {
+        if (retired) ++violations;
+        notified = true;
+      });
+    });
+  }
+  scheduler.add_thread([&] {
+    for (std::size_t poll = 0; poll < kPolls && !retired; ++poll) {
+      yield_point();
+      retired = handoff.try_wait([] { return true; });
+    }
+  });
+  const Scheduler::Trace trace = scheduler.run(choose);
+  if (!notified) throw std::logic_error("last worker never notified");
+  return trace;
+}
+
+TEST(ScheduleTest, BatchHandoffNeverTouchesARetiredBatch) {
+  if (!enabled()) GTEST_SKIP() << "yield points compiled out (DCFS_CHK=OFF)";
+  std::size_t violations = 0;
+  const std::size_t runs = Explorer::enumerate(
+      [&violations](const Scheduler::ChoiceFn& choose) {
+        return teardown_run<par::BatchHandoff>(choose, violations);
+      },
+      5000);
+  EXPECT_GE(runs, 20u);
+  EXPECT_LT(runs, 5000u) << "tree not exhausted: raise the bound";
+  EXPECT_EQ(violations, 0u);
+}
+
+TEST(ScheduleTest, PreFixHandoffOrderingIsCaught) {
+  if (!enabled()) GTEST_SKIP() << "yield points compiled out (DCFS_CHK=OFF)";
+  // The explorer must find the interleaving that broke WorkerPool teardown:
+  // the caller retires the batch between the last worker's decrement and
+  // its notify.
+  std::size_t violations = 0;
+  Explorer::enumerate(
+      [&violations](const Scheduler::ChoiceFn& choose) {
+        return teardown_run<PreFixHandoff>(choose, violations);
+      },
+      5000);
+  EXPECT_GT(violations, 0u);
 }
 
 // The protocol itself (no scheduler) — valid in both build configs.

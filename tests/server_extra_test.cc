@@ -147,7 +147,6 @@ TEST(ServerGroupTest, GroupIdsNeverAliasAcrossClients) {
 
 TEST(ServerStoreTest, NearIdenticalHistoryDedups) {
   CloudServer server(CostProfile::pc());
-  ASSERT_TRUE(server.config().use_block_store);
   Rng rng(3);
   Bytes content = rng.bytes(200'000);
   for (std::uint64_t i = 1; i <= 10; ++i) {
@@ -232,18 +231,6 @@ TEST(ServerStoreTest, RevivedHistorySharesChunksWithTombstone) {
   Result<Bytes> old_content = server.fetch_version("/f", {1, 1});
   ASSERT_TRUE(old_content.is_ok());
   EXPECT_EQ(*old_content, generation1);
-}
-
-TEST(ServerStoreTest, DisablingBlockStoreKeepsHistoryInline) {
-  ServerConfig config;
-  config.use_block_store = false;
-  CloudServer server(CostProfile::pc(), config);
-  Rng rng(7);
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    server.apply_record(1, full_file("/f", rng.bytes(10'000), {1, i}));
-  }
-  EXPECT_EQ(server.store().unique_bytes(), 0u);
-  EXPECT_TRUE(server.fetch_version("/f", {1, 1}).is_ok());
 }
 
 TEST(ServerDeltaTest, DeltaAgainstCurrentVersionAppliesInPlace) {

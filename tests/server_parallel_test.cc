@@ -1,18 +1,21 @@
-// Serial-vs-parallel equivalence for the sharded apply pipeline.
+// Shard-count equivalence for the server's partitioned apply pipeline.
 //
 // Deterministic multi-client record streams — full files, deltas (fresh and
 // stale), creates, unlinks, renames, links, truncates, transactional groups
 // (including groups split across pump batches) — are pumped through
 // CloudServers configured with 1, 2, 4 and 8 apply shards.  Every observable
-// output must be byte-identical to the serial server's: file contents and
-// versions, block-backed histories, conflict copies, rejections, arrival
-// order, per-client downstream frame sequences (acks and forwards), the
-// CostMeter's per-kind breakdown, and block-store accounting.
+// output must match the digests recorded from the record-at-a-time serial
+// pump the pipeline replaced: file contents and versions, block-backed
+// histories, conflict copies, rejections, arrival order, per-client
+// downstream frame sequences (acks and forwards), the CostMeter's per-kind
+// breakdown, and block-store accounting.  The serial reference is kept as
+// data, so every shard count — one included — is checked against it.
 //
 // Also checks that record_bundle frames on the wire leave server state and
 // downstream traffic identical to the same records sent as plain frames.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
@@ -322,24 +325,63 @@ Observed run_scenario(std::uint64_t seed, std::size_t shards,
   return observe(server, downstream, processed);
 }
 
-class ServerParallelEquivalence
-    : public ::testing::TestWithParam<std::uint64_t> {};
+/// FNV-1a over one rendered output stream.
+std::uint64_t digest(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
 
-TEST_P(ServerParallelEquivalence, ShardCountsProduceIdenticalOutputs) {
-  const std::uint64_t seed = GetParam();
-  const Observed serial = run_scenario(seed, 1);
-  ASSERT_GT(serial.processed, 100u) << "scenario too small to mean anything";
-  for (const std::size_t shards : {2u, 4u, 8u}) {
-    const Observed parallel = run_scenario(seed, shards);
-    EXPECT_EQ(parallel.processed, serial.processed) << "shards=" << shards;
-    EXPECT_EQ(parallel.state, serial.state) << "shards=" << shards;
-    EXPECT_EQ(parallel.wire, serial.wire) << "shards=" << shards;
-    EXPECT_EQ(parallel.meter, serial.meter) << "shards=" << shards;
+/// Outputs of the record-at-a-time serial pump for one seed, recorded
+/// before that pump was folded into the partitioned pipeline.
+struct SerialReference {
+  std::uint64_t seed;
+  std::size_t processed;
+  std::uint64_t state;
+  std::uint64_t wire;
+  std::uint64_t meter;
+};
+
+constexpr SerialReference kSerialReference[] = {
+    {1, 179, 0x0506f68491d5bda5ull, 0xf1139bab428fc904ull,
+     0x331f2e1199fe2871ull},
+    {7, 178, 0x42de31b9a1368c29ull, 0xe93c0b4b423f771full,
+     0x67437ac15fd8e6f4ull},
+    {42, 167, 0x7bb33b48f0c17909ull, 0x0115a2d09b23a2bfull,
+     0x4f4cd43f898437a2ull},
+    {1234, 181, 0xb6b0565d7fd23585ull, 0x0df83e8369cfe67cull,
+     0xecbd3bc1818967c1ull},
+};
+
+class ServerParallelEquivalence
+    : public ::testing::TestWithParam<SerialReference> {};
+
+TEST_P(ServerParallelEquivalence, ShardCountsMatchRecordedSerialOutputs) {
+  const SerialReference& expected = GetParam();
+  ASSERT_GT(expected.processed, 100u) << "scenario too small to mean anything";
+  const Observed one_shard = run_scenario(expected.seed, 1);
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    const Observed observed =
+        shards == 1 ? one_shard : run_scenario(expected.seed, shards);
+    EXPECT_EQ(observed.processed, expected.processed) << "shards=" << shards;
+    EXPECT_EQ(digest(observed.state), expected.state) << "shards=" << shards;
+    EXPECT_EQ(digest(observed.wire), expected.wire) << "shards=" << shards;
+    EXPECT_EQ(digest(observed.meter), expected.meter) << "shards=" << shards;
+    // A readable diff when a shard count drifts from the one-lane run.
+    EXPECT_EQ(observed.state, one_shard.state) << "shards=" << shards;
+    EXPECT_EQ(observed.wire, one_shard.wire) << "shards=" << shards;
+    EXPECT_EQ(observed.meter, one_shard.meter) << "shards=" << shards;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServerParallelEquivalence,
-                         ::testing::Values(1, 7, 42, 1234));
+                         ::testing::ValuesIn(kSerialReference),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param.seed);
+                         });
 
 TEST(ServerBundleEquivalence, BundledWireMatchesPlainWire) {
   // Bundling changes upstream framing only: server state and the full

@@ -5,8 +5,9 @@ lock order.
 The runtime lockdep (src/chk/lockdep.h) observes which lock classes
 actually nest and exports the graph as Graphviz DOT (chk::lockdep_dot(),
 written by tests such as lock_order_test and by `syncctl chk`).  The
-declared order lives in src/chk/lock_order.h with a machine-readable
-mirror at tools/lock_order.json.  This script asserts the two agree:
+declared order lives once, in src/chk/lock_order.h; lock_order_test
+exports it as JSON (chk::lock_order_json()) to lock_order.json in the
+build tree, next to the DOT.  This script asserts the two agree:
 
   1. the declared edge set is acyclic (a cyclic declaration would cover
      any runtime order along the cycle);
@@ -20,8 +21,12 @@ Nodes/edges whose class starts with an ignore prefix (default "test.",
 the fixtures chk_test uses to build deliberate cycles) are skipped.
 
 Usage:
-  lockdep_check.py runtime.dot [more.dot ...]   # verify exports
-  lockdep_check.py --self-test                  # prove violations fail
+  lockdep_check.py --manifest lock_order.json runtime.dot [more.dot ...]
+  lockdep_check.py --self-test [--manifest lock_order.json]
+
+--self-test proves that an inverted edge, an unknown class and a cyclic
+declaration are rejected, against a built-in fixture manifest (or the
+given one, which must then itself be acyclic).
 
 Exit status: 0 agreement, 1 violations, 2 usage/environment error.
 """
@@ -34,8 +39,14 @@ import os
 import re
 import sys
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_MANIFEST = os.path.join(REPO, "tools", "lock_order.json")
+# The self-test's stand-in for an exported manifest: a small layered order
+# in the same shape lock_order_json() emits.
+FIXTURE_MANIFEST = {
+    "classes": ["app.table", "infra.pool", "infra.batch", "obs.leaf"],
+    "edges": [["app.table", "obs.leaf"], ["infra.pool", "infra.batch"],
+              ["infra.batch", "obs.leaf"]],
+    "ignore_prefixes": ["test."],
+}
 
 # lockdep_dot() emits nodes as  "class" [label="..."]  and edges as
 # "from" -> "to" [label="file:line (Nx)"].
@@ -56,7 +67,10 @@ class Manifest:
     @staticmethod
     def load(path: str) -> "Manifest":
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+            return Manifest.parse(json.load(f))
+
+    @staticmethod
+    def parse(data: dict) -> "Manifest":
         edges = [(before, after) for before, after in data["edges"]]
         return Manifest(data["classes"], edges,
                         data.get("ignore_prefixes", []))
@@ -119,8 +133,9 @@ def check(manifest: Manifest, dot_text: str, source: str) -> list[str]:
         if node not in manifest.classes:
             problems.append(
                 f"{source}: lock class '{node}' observed at runtime but "
-                f"absent from tools/lock_order.json — declare it (and its "
-                f"ordering edges) before shipping the mutex"
+                f"absent from the declared order — declare it (and its "
+                f"ordering edges) in src/chk/lock_order.h before shipping "
+                f"the mutex"
             )
     for before, after in sorted(edges):
         if manifest.ignored(before) or manifest.ignored(after):
@@ -130,15 +145,16 @@ def check(manifest: Manifest, dot_text: str, source: str) -> list[str]:
                 f"{source}: observed nesting {before} -> {after} is not "
                 f"covered by the declared order — either the code acquires "
                 f"out of order (fix the code) or the layering changed "
-                f"(update src/chk/lock_order.h AND tools/lock_order.json)"
+                f"(update src/chk/lock_order.h)"
             )
     return problems
 
 
-def self_test(manifest_path: str) -> int:
-    manifest = Manifest.load(manifest_path)
+def self_test(manifest_path: str | None) -> int:
+    manifest = (Manifest.load(manifest_path) if manifest_path
+                else Manifest.parse(FIXTURE_MANIFEST))
     if manifest.find_cycle() is not None:
-        print("self-test: checked-in manifest is cyclic", file=sys.stderr)
+        print("self-test: manifest is cyclic", file=sys.stderr)
         return 1
     classes = sorted(manifest.classes)
     if len(classes) < 2 or not manifest.edges:
@@ -171,6 +187,14 @@ def self_test(manifest_path: str) -> int:
         print("self-test: test.* fixtures were not ignored", file=sys.stderr)
         return 1
 
+    # A cyclic declaration must be rejected even for a DOT it would cover.
+    cyclic = Manifest(sorted(manifest.classes),
+                      manifest.edges + [(after, before)],
+                      list(manifest.ignore_prefixes))
+    if not check(cyclic, ok_dot, "cyclic.dot"):
+        print("self-test: cyclic manifest was NOT rejected", file=sys.stderr)
+        return 1
+
     print("lockdep_check: self-test ok")
     return 0
 
@@ -178,8 +202,9 @@ def self_test(manifest_path: str) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dots", nargs="*", help="runtime lockdep DOT files")
-    parser.add_argument("--manifest", default=DEFAULT_MANIFEST,
-                        help="declared-order manifest (tools/lock_order.json)")
+    parser.add_argument("--manifest",
+                        help="declared-order manifest: the lock_order.json "
+                             "lock_order_test writes into the build tree")
     parser.add_argument("--self-test", action="store_true",
                         help="prove an inverted edge and an unknown class "
                              "are rejected, then exit")
@@ -189,6 +214,8 @@ def main() -> int:
         return self_test(args.manifest)
     if not args.dots:
         parser.error("no DOT files given (or use --self-test)")
+    if not args.manifest:
+        parser.error("--manifest is required to check DOT files")
 
     try:
         manifest = Manifest.load(args.manifest)
